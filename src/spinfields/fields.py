@@ -3,25 +3,31 @@
 Every positive integer factors uniquely as m = (2k+1) * 2^p * 16^q with
 0 <= p <= 3, and the sphere S^(m-1) carries exactly sigma(m) = 2^p + 8q - 1
 pointwise linearly independent tangent vector fields.  This module builds
-such a maximal system as signed-permutation matrices:
+such a maximal system as signed-permutation matrices, each one a Kronecker
+word in a few 16-dim and <= 8-dim factors (sigperm.kron), with the complex
+structures J_a = I_a I_9 on R^16 and Z = I_9:
 
 * 8q "level" fields, for t = 1..q and a = 1..8:
 
-      B(t, a) = diag( Chat_t @ block(J_a, 16^(t-1)), m / 16^t )
+      B(t, a) = Id_(m / 16^t) (x) J_a (x) Z^(t-1)
 
-  where J_a are the complex structures on R^16 and Chat_t is the product of
-  level conjugations (conj_total).
+* 2^p - 1 "left multiplication" fields, one per imaginary unit u of C, H
+  or O, with L_u its left multiplication on R^(2^p):
 
-* 2^p - 1 "left multiplication" fields, one per imaginary unit of C, H or O:
+      L(u) = Id_(2k+1) (x) L_u (x) Z^q
 
-      L(u) = diag( diag(Chat_q @ C_q, 2^p) @ block(L_u, 16^q), 2k+1 )
+Z anticommutes with every J_a, so two words anticommute exactly when an
+odd number of their slots do.  B(t, a) and B(t, b) differ in one slot;
+B(s, a) and B(t, b) with s < t meet J_a against Z at slot s; L(u) meets
+every B(t, a) at the slot where B has J_a and L has Z.  This is the
+Clifford-module tensor construction behind the Hurwitz-Radon bound.  In the
+diag/block form of the sigperm conj_* helpers, Id_16 (x) Z^(t-1) is the
+conjugation Chat_t = conj_total(t) and Z^q is Chat_q C_q: without the
+factor C_q = conj_base(q), L(u) fails to anticommute with the level-q
+fields (tests include this negative witness at m = 512).
 
-  Note the extra conj_base factor C_q next to Chat_q: without it L(u) fails
-  to anticommute with the level-q fields (tests include this negative
-  witness at m = 512).
-
-For q = 0 the system is the classical one given by complex, quaternion or
-octonion multiplication acting diagonally on blocks of 2^p coordinates.
+For q = 0 only the L words remain: complex, quaternion or octonion
+multiplication acting diagonally on blocks of 2^p coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import lru_cache
 
 from . import sigperm
 from .algebra import UNIT_LETTERS, left_mult_matrix
-from .sigperm import SignedPerm, block_ext, conj_base, conj_total, diag_ext
+from .sigperm import SignedPerm, block_ext, diag_ext, identity, kron
 from .spin9 import complex_structure, complex_structure_pair, generator
 
 
@@ -63,21 +69,25 @@ def sigma(m: int) -> int:
     return 2 ** d.p + 8 * d.q - 1
 
 
+#: the generator I_9 of spin9; the conjugation slot of every word
+Z = generator(9)
+
+
 @lru_cache(maxsize=None)
-def _level_core(t: int, alpha: int) -> SignedPerm:
-    # Chat_t @ block(J_alpha, 16^(t-1)), dimension 16^t.
-    return conj_total(t) * block_ext(complex_structure(alpha), 16 ** (t - 1))
+def _level_tail(t: int, alpha: int) -> SignedPerm:
+    # J_alpha (x) Z^(t-1), dimension 16^t: shared by every m with q >= t.
+    return kron(complex_structure(alpha), *[Z] * (t - 1))
 
 
 def level_field(q: int, t: int, alpha: int) -> SignedPerm:
-    """Level-t field on R^(16^q); for t = 1 just diag(J_alpha, 16^(q-1))."""
+    """Level-t field on R^(16^q): Id_(16^(q-t)) (x) J_alpha (x) Z^(t-1)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not 1 <= t <= q:
         raise ValueError(f"level t must be in 1..q={q}, got {t}")
     if not 1 <= alpha <= 8:
         raise ValueError(f"alpha must be in 1..8, got {alpha}")
-    return diag_ext(_level_core(t, alpha), 16 ** (q - t))
+    return kron(identity(16 ** (q - t)), _level_tail(t, alpha))
 
 
 #: imaginary-unit labels of the left-multiplication fields, per p
@@ -91,22 +101,16 @@ def g_set(p: int) -> list[SignedPerm]:
     return [left_mult_matrix(p, alpha) for alpha in range(1, 2 ** p)]
 
 
-@lru_cache(maxsize=None)
-def _lmult_conj(p: int, q: int) -> SignedPerm:
-    # diag(Chat_q @ C_q, 2^p), dimension 2^p * 16^q.
-    return diag_ext(conj_total(q) * conj_base(q), 2 ** p)
-
-
 def lmult_field(k: int, p: int, q: int, g: SignedPerm) -> SignedPerm:
-    """Left-multiplication field on R^((2k+1) 2^p 16^q), for g in g_set(p)."""
+    """Left-multiplication field on R^((2k+1) 2^p 16^q), for g in g_set(p):
+    Id_(2k+1) (x) g (x) Z^q."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not 0 <= p <= 3:
         raise ValueError(f"p must be in 0..3, got {p}")
     if g.dim != 2 ** p:
         raise ValueError(f"g has dimension {g.dim}, expected 2^p = {2 ** p}")
-    core = _lmult_conj(p, q) * block_ext(g, 16 ** q)
-    return diag_ext(core, 2 * k + 1)
+    return kron(identity(2 * k + 1), g, *[Z] * q)
 
 
 @dataclass(frozen=True)
@@ -143,25 +147,17 @@ def build_system(m: int) -> FieldSystem:
     d = decompose(m)
     if m % 2:
         return FieldSystem(m, ())
-    fields: list[Field] = []
-    if d.q >= 1:
-        for t in range(1, d.q + 1):
-            copies = m // 16 ** t
-            for alpha in range(1, 9):
-                fields.append(
-                    Field(
-                        f"B({t},{alpha})",
-                        diag_ext(_level_core(t, alpha), copies),
-                    )
-                )
-        for unit, g in zip(G_SET_UNITS[d.p], g_set(d.p)):
-            fields.append(Field(f"L({unit})", lmult_field(d.k, d.p, d.q, g)))
-    else:
-        copies = m // 2 ** d.p
-        for unit, g in zip(G_SET_UNITS[d.p], g_set(d.p)):
-            fields.append(Field(f"L({unit})", diag_ext(g, copies)))
+    words = [
+        (f"B({t},{alpha})", [identity(m // 16 ** t), _level_tail(t, alpha)])
+        for t in range(1, d.q + 1)
+        for alpha in range(1, 9)
+    ] + [
+        (f"L({unit})", [identity(2 * d.k + 1), g] + [Z] * d.q)
+        for unit, g in zip(G_SET_UNITS[d.p], g_set(d.p))
+    ]
+    fields = tuple(Field(label, kron(*word)) for label, word in words)
     assert len(fields) == sigma(m)
-    return FieldSystem(m, tuple(fields))
+    return FieldSystem(m, fields)
 
 
 def pair_system(m: int, beta: int) -> FieldSystem:

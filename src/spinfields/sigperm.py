@@ -1,4 +1,4 @@
-"""Exact signed-permutation (monomial +/-1) matrices and the diag/block calculus.
+"""Exact signed-permutation (monomial +/-1) matrices and their Kronecker products.
 
 A :class:`SignedPerm` of dimension m stores, for each column j, the row
 ``image[j]`` of its unique nonzero entry and that entry's sign.  As a matrix:
@@ -10,6 +10,10 @@ labels.  The column-map convention means ``apply`` scatters:
 ``(M v)[image[j]] = sign[j] * v[j]``, i.e. ordinary matrix-times-column-vector
 semantics.
 
+:func:`kron` is the one place that materializes a larger matrix from smaller
+ones; the diagonal and block extensions and the conjugations are Kronecker
+products with identities and sign flips.
+
 :class:`DenseMatrix` is the quadratic brute-force oracle used by the tests;
 it never appears on a production path.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -105,18 +110,15 @@ class SignedPerm:
         return out
 
     def is_skew(self) -> bool:
+        """A^T = -A.  For a signed permutation A^T = A^-1, so this is also
+        the test A^2 = -Id: with signs +-1, s_i = -s_j iff s_i * s_j = -1."""
         image, sign = self.image, self.sign
         return all(
             image[image[j]] == j and sign[image[j]] == -sign[j]
             for j in range(self.dim)
         )
 
-    def squares_to_minus_id(self) -> bool:
-        image, sign = self.image, self.sign
-        return all(
-            image[image[j]] == j and sign[image[j]] * sign[j] == -1
-            for j in range(self.dim)
-        )
+    squares_to_minus_id = is_skew
 
     def anticommutes(self, other: SignedPerm) -> bool:
         """Exact check of self*other == -(other*self)."""
@@ -134,54 +136,62 @@ def identity(dim: int) -> SignedPerm:
     return SignedPerm._raw(dim, tuple(range(dim)), (1,) * dim)
 
 
-def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    return a * b
+@lru_cache(maxsize=4)
+def _indices(dim: int) -> tuple[int, ...]:
+    # One shared tuple of row indices per dimension: kron picks its images
+    # from it, so the fields of a system share their int objects.
+    return tuple(range(dim))
+
+
+def _kron2(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    if b.dim == 1 and b.sign[0] == 1:
+        return a
+    if a.dim == 1 and a.sign[0] == 1:
+        return b
+    n = b.dim
+    dim = a.dim * n
+    rows = _indices(dim)
+    # itemgetter of a single index returns the item, not a 1-tuple
+    pick = operator.itemgetter(*b.image) if n > 1 else tuple
+    neg = tuple(-s for s in b.sign)
+    image: list[int] = []
+    sign: list[int] = []
+    for r, s in zip(a.image, a.sign):
+        off = r * n
+        image += pick(rows[off : off + n])
+        sign += b.sign if s > 0 else neg
+    return SignedPerm._raw(dim, tuple(image), tuple(sign))
+
+
+def kron(first: SignedPerm, *rest: SignedPerm) -> SignedPerm:
+    """Kronecker product a (x) b (x) ...: entry (r*n + r', c*n + c') of
+    a (x) b is a[r, c] * b[r', c'] for n = b.dim."""
+    return reduce(_kron2, rest, first)
 
 
 def diag_ext(a: SignedPerm, n: int) -> SignedPerm:
-    """n diagonal copies of a, acting blockwise on (R^m)^n."""
+    """n diagonal copies of a, acting blockwise on (R^m)^n: Id_n (x) a."""
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
-    if n == 1:
-        return a
-    m = a.dim
-    image = []
-    for b in range(n):
-        off = b * m
-        image.extend(r + off for r in a.image)
-    return SignedPerm._raw(m * n, tuple(image), a.sign * n)
+    return kron(identity(n), a)
 
 
 def block_ext(a: SignedPerm, n: int) -> SignedPerm:
-    """Replace each entry of a by that entry times Id_n, acting on (R^n)^m."""
+    """Replace each entry of a by that entry times Id_n: a (x) Id_n."""
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
-    if n == 1:
-        return a
-    m = a.dim
-    image = []
-    sign = []
-    for col in range(m):
-        off = a.image[col] * n
-        s = a.sign[col]
-        image.extend(off + r for r in range(n))
-        sign.extend([s] * n)
-    return SignedPerm._raw(m * n, tuple(image), tuple(sign))
+    return kron(a, identity(n))
 
 
-def sign_flip_tail(dim: int) -> SignedPerm:
-    """Diagonal matrix negating the last dim/2 coordinates."""
-    if dim % 2:
-        raise ValueError(f"dimension must be even, got {dim}")
-    h = dim // 2
-    return SignedPerm._raw(dim, tuple(range(dim)), (1,) * h + (-1,) * h)
+#: diag(1, -1); conj_base(1) = _FLIP (x) Id_8 is the generator I_9 of spin9
+_FLIP = SignedPerm(2, (0, 1), (1, -1))
 
 
 def conj_base(s: int) -> SignedPerm:
     """The conjugation on R^(16^s) negating the second half of coordinates."""
     if s < 1:
         raise ValueError(f"conjugation order must be >= 1, got {s}")
-    return sign_flip_tail(16 ** s)
+    return kron(_FLIP, identity(16 ** s // 2))
 
 
 def conj_level(q: int, t: int) -> SignedPerm:
@@ -192,19 +202,11 @@ def conj_level(q: int, t: int) -> SignedPerm:
 
 
 def conj_total(t: int) -> SignedPerm:
-    """Product of the level conjugations inside R^(16^t); identity at t = 1.
-
-    All factors are diagonal sign matrices, so the product order is
-    immaterial.
-    """
+    """Product of the level conjugations inside R^(16^t), which is
+    Chat_t = Id_16 (x) Z^(t-1) for Z = conj_base(1); identity at t = 1."""
     if t < 1:
         raise ValueError(f"conjugation order must be >= 1, got {t}")
-    if t == 1:
-        return identity(16)
-    acc = conj_level(t, 1)
-    for s in range(2, t):
-        acc = acc * conj_level(t, s)
-    return acc
+    return kron(identity(16), *[conj_base(1)] * (t - 1))
 
 
 class DenseMatrix:

@@ -104,7 +104,7 @@ def test_criterion_4_verification_at_desk_scale():
     ok = True
     detail = ""
     for m in list(range(2, 513, 2)) + [1024, 2048, 4096, 8192]:
-        rep = verify_system(build_system(m), mode="exhaustive")
+        rep = verify_system(build_system(m))
         s = sigma(m)
         if not (rep.passed and rep.pairs_checked == s * (s - 1) // 2):
             ok = False

@@ -78,6 +78,15 @@ class TestFields:
         assert out == ""
         assert json.loads(target.read_text())["m"] == 16
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        for args in (("fields", 16), ("multable", 2)):
+            code, out, err = run(capsys, *args, "--out", target)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: cannot write output file:")
+            assert len(err.splitlines()) == 1
+
     def test_odd_notice(self, capsys):
         code, out, err = run(capsys, "fields", 9)
         assert code == 0
@@ -101,10 +110,18 @@ class TestVerify:
         assert code == 2
         assert "oracle" in err
 
-    def test_sampled(self, capsys):
-        code, out, _ = run(capsys, "verify", 256, "--sampled", "--count", "10")
+    def test_removed_sampling_flags_are_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "256", "--sampled"])
+        assert exc.value.code == 2
+
+    def test_summary_shape(self, capsys):
+        code, out, _ = run(capsys, "verify", 96)
         assert code == 0
-        assert "sampled" in out
+        lines = out.splitlines()
+        assert lines[0] == "m = 96: 9 fields (expected sigma = 9), mode = exhaustive"
+        assert lines[1].startswith("checks run: 45 (36/36 anticommutation pairs)")
+        assert lines[2] == "PASS"
 
 
 class TestMultable:
@@ -182,6 +199,19 @@ class TestApply:
         assert code == 2
         assert "line 2" in err
 
+    def test_exponent_rejected_with_line_number(self, capsys, tmp_path):
+        f = self.write_vector(tmp_path, ["1", "-37/12", "1e-3"] + ["0"] * 13)
+        code, _, err = run(capsys, "apply", 16, "--vector", f)
+        assert code == 2
+        assert "line 3" in err and "1e-3" in err
+
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        f = self.write_vector(tmp_path, [1] + [0] * 15)
+        out_path = tmp_path / "missing-dir" / "frame.txt"
+        code, _, err = run(capsys, "apply", 16, "--vector", f, "--out", out_path)
+        assert code == 2
+        assert err.startswith("error: cannot write output file:")
+
     def test_wrong_count(self, capsys, tmp_path):
         f = self.write_vector(tmp_path, [1, 2, 3])
         code, _, err = run(capsys, "apply", 16, "--vector", f)
@@ -216,6 +246,13 @@ class TestBench:
     def test_odd_rejected(self, capsys):
         code, _, err = run(capsys, "bench", 5)
         assert code == 2
+
+    def test_nonpositive_reps_rejected(self, capsys):
+        for reps in (0, -3):
+            code, out, err = run(capsys, "bench", 2, "--reps", reps)
+            assert code == 2
+            assert out == ""
+            assert "reps must be >= 1" in err
 
 
 def test_unknown_command_usage_exit():

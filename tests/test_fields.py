@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -396,3 +397,23 @@ class TestSerialization:
         a = json.dumps(system_to_json(build_system(96)))
         b = json.dumps(system_to_json(build_system(96)))
         assert a == b
+
+
+class TestPinnedJson:
+    """SHA-256 of `fields M --format sparse-json`, taken from the
+    diag/block construction this module replaced; they cover odd multiples
+    (24, 96, 768, 1536, 6144) with q = 0, 1, 2 and q = 3 at 4096."""
+
+    DIGESTS = {
+        24: "73aa37945c6477b791cb86e7e400a4ff86dd2db853ae117a2752f64f8304090f",
+        96: "f518f5c59b34658b5bbe003d08757acac0193e4bd05cc0d916b8acf3f2917718",
+        768: "af1eb8f8abc845df3332e660fe35da9a5faeed126f0ccdc1e0d80d3b094c880a",
+        1536: "6a643537cc01288d3c97b269b3b7e1531dc865675e1b79650fa445bd86eb07fb",
+        4096: "c4e185517c6fe345ad9fa56c9372185d99f2c7d12aecb9a15a1f70fad665c7a9",
+        6144: "c5d43fbe87e2de78b1ba12da5bd8623311882d8c75cfa48007e724d6ddaf36a3",
+    }
+
+    def test_sparse_json_digests(self):
+        for m, digest in self.DIGESTS.items():
+            text = json.dumps(system_to_json(build_system(m)), indent=2) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, m

@@ -17,6 +17,7 @@ from spinfields.sigperm import (
     from_dense,
     from_sparse_json,
     identity,
+    kron,
     to_dense,
     to_dense_csv,
     to_sparse_json,
@@ -228,6 +229,49 @@ def _dense_block_ext(d, n):
     return DenseMatrix(rows)
 
 
+def _dense_kron(a, b):
+    n = b.dim
+    return DenseMatrix(
+        [
+            [a.rows[r // n][c // n] * b.rows[r % n][c % n] for c in range(a.dim * n)]
+            for r in range(a.dim * n)
+        ]
+    )
+
+
+#: factors of a Kronecker word: random, identities and the 1-dim -1
+kron_factors = st.one_of(
+    signed_perms(max_dim=4),
+    st.integers(1, 4).map(identity),
+    st.just(SignedPerm(1, (0,), (-1,))),
+)
+
+
+class TestKron:
+    @given(kron_factors, kron_factors)
+    def test_matches_dense_kronecker_product(self, a, b):
+        assert to_dense(kron(a, b)) == _dense_kron(to_dense(a), to_dense(b))
+
+    @given(st.lists(kron_factors, min_size=1, max_size=4))
+    def test_word_matches_dense_fold(self, word):
+        dense = to_dense(word[0])
+        for f in word[1:]:
+            dense = _dense_kron(dense, to_dense(f))
+        assert to_dense(kron(*word)) == dense
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_mixed_product(self, m, n, data):
+        # (a (x) b)(c (x) d) = ac (x) bd
+        a, c = data.draw(signed_perms(dim=m)), data.draw(signed_perms(dim=m))
+        b, d = data.draw(signed_perms(dim=n)), data.draw(signed_perms(dim=n))
+        assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+
+    def test_extensions_are_kronecker_products(self):
+        a = SignedPerm(3, (2, 0, 1), (1, -1, -1))
+        assert diag_ext(a, 4) == kron(identity(4), a)
+        assert block_ext(a, 4) == kron(a, identity(4))
+
+
 class TestConjugations:
     def test_conj_base_negates_tail(self):
         c = conj_base(1)
@@ -241,6 +285,11 @@ class TestConjugations:
 
     def test_conj_total_level_one_is_identity(self):
         assert conj_total(1) == identity(16)
+
+    def test_full_conjugation_is_kronecker_power_of_i9(self):
+        z = conj_base(1)
+        for q in (1, 2, 3):
+            assert conj_total(q) * conj_base(q) == kron(*[z] * q)
 
     def test_conj_total_two(self):
         assert conj_total(2) == conj_level(2, 1)

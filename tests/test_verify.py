@@ -68,32 +68,6 @@ class TestVerifySystem:
         assert report.passed
         assert report.n_fields == 0
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            verify_system(build_system(16), mode="fast")
-
-
-class TestSampledMode:
-    def test_sampled_subset(self):
-        report = verify_system(build_system(256), mode="sampled", count=20)
-        assert report.passed
-        assert report.mode == "sampled"
-        # the adjacency ring is always included
-        assert report.pairs_checked >= 16
-        assert report.pairs_checked <= report.pairs_total
-
-    def test_sampled_deterministic(self):
-        a = verify_system(build_system(256), mode="sampled", seed=7, count=40)
-        b = verify_system(build_system(256), mode="sampled", seed=7, count=40)
-        assert a.pairs_checked == b.pairs_checked
-
-    def test_sampled_catches_planted_failure(self):
-        sys16 = build_system(16)
-        bad = tamper(sys16, 2, sys16.fields[1].matrix)
-        report = verify_system(bad, mode="sampled", count=3)
-        # fields 1 and 2 are adjacent, so the ring subset sees the failure
-        assert not report.passed
-
 
 class TestVectorChecks:
     def test_basis_normal(self):
