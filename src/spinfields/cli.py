@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import algebra, fields, sigperm, verify
 
-#: dense column of the benchmark is capped here (quadratic cost, big memory)
-BENCH_DENSE_LIMIT = 4096
+#: bound on m for the quadratic dense paths: dense-CSV fields and bench
+DENSE_LIMIT = 4096
 
 
 class InputError(Exception):
@@ -84,6 +84,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
+    if args.format == "dense-csv" and args.m > DENSE_LIMIT:
+        raise InputError(
+            f"dense CSV is bounded at m = {DENSE_LIMIT} "
+            f"(quadratic output); got m = {args.m}"
+        )
     sys_ = fields.build_system(args.m)
     if args.m % 2:
         print(f"note: m = {args.m} is odd, sigma = 0; empty system", file=sys.stderr)
@@ -102,15 +107,15 @@ def cmd_fields(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.oracle and args.m > verify.ORACLE_LIMIT:
+        raise InputError(
+            f"--oracle is bounded at m = {verify.ORACLE_LIMIT} "
+            f"(quadratic dense recomputation); got m = {args.m}"
+        )
     sys_ = fields.build_system(args.m)
     report = verify.verify_system(sys_)
     print(report.summary())
     if args.oracle:
-        if args.m > verify.ORACLE_LIMIT:
-            raise InputError(
-                f"--oracle is bounded at m = {verify.ORACLE_LIMIT} "
-                f"(quadratic dense recomputation); got m = {args.m}"
-            )
         bad = [
             f.label for f in sys_.fields if not verify.oracle_compare(f.matrix)
         ]
@@ -181,7 +186,7 @@ def bench(m: int, reps: int | None = None) -> dict:
     results = {"m": m, "reps": reps, "ops": {}}
     results["ops"]["apply_sigperm"] = _best_time(lambda: a.apply(v), reps)
     results["ops"]["compose_sigperm"] = _best_time(lambda: a * b, reps)
-    if m <= BENCH_DENSE_LIMIT:
+    if m <= DENSE_LIMIT:
         dense = sigperm.to_dense(a)
         dense_reps = 1 if m > 512 else max(1, reps // 100)
         results["ops"]["apply_dense"] = _best_time(
@@ -267,10 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

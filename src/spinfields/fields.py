@@ -37,8 +37,8 @@ from functools import lru_cache
 
 from . import sigperm
 from .algebra import UNIT_LETTERS, left_mult_matrix
-from .sigperm import SignedPerm, block_ext, diag_ext, identity, kron
-from .spin9 import complex_structure, complex_structure_pair, generator
+from .sigperm import SignedPerm, identity, kron
+from .spin9 import complex_structure, generator
 
 
 @dataclass(frozen=True)
@@ -161,39 +161,27 @@ def build_system(m: int) -> FieldSystem:
 
 
 def pair_system(m: int, beta: int) -> FieldSystem:
-    """Alternative maximal systems from the compositions I_alpha I_beta.
+    """Alternative maximal systems from the compositions j_a = I_a I_beta,
+    a != beta, on m = 16^q for q = 1, 2: the words of build_system with
+    J_a replaced by j_a and Z by I_beta,
 
-    For m = 16 the eight fields are I_alpha I_beta, alpha != beta; beta = 9
-    recovers build_system(16).  For m = 256 these act diagonally (level 1)
-    and, conjugated, blockwise (level 2).  The level-2 conjugation is the
-    diagonal extension of the symmetric generator I_beta: a level-1 field
-    anticommutes with a conjugated block field exactly when the conjugation
-    anticommutes with every I_alpha I_beta, which singles out I_beta.  For
-    beta = 9 this is the plain sign-flip conjugation of build_system.
+        B(t, a) = Id_(m / 16^t) (x) j_a (x) I_beta^(t-1).
+
+    I_beta anticommutes with every j_a, which singles it out as the
+    level-2 conjugation; beta = 9 gives build_system(m).
     """
     if m not in (16, 256):
         raise ValueError(f"pair systems are defined for m in {{16, 256}}, got {m}")
     if not 1 <= beta <= 9:
         raise ValueError(f"beta must be in 1..9, got {beta}")
-    pairs = [
-        (alpha, _signed_pair(alpha, beta)) for alpha in range(1, 10) if alpha != beta
-    ]
-    fields = []
-    if m == 16:
-        fields.extend(Field(f"B(1,{a})", j) for a, j in pairs)
-    else:
-        fields.extend(Field(f"B(1,{a})", diag_ext(j, 16)) for a, j in pairs)
-        conj = diag_ext(generator(beta), 16)
-        fields.extend(
-            Field(f"B(2,{a})", conj * block_ext(j, 16)) for a, j in pairs
-        )
-    return FieldSystem(m, tuple(fields))
-
-
-def _signed_pair(alpha: int, beta: int) -> SignedPerm:
-    if alpha < beta:
-        return complex_structure_pair(alpha, beta)
-    return -complex_structure_pair(beta, alpha)
+    i_beta = generator(beta)
+    pairs = [(a, generator(a) * i_beta) for a in range(1, 10) if a != beta]
+    fields = tuple(
+        Field(f"B({t},{a})", kron(identity(m // 16 ** t), j, *[i_beta] * (t - 1)))
+        for t in range(1, decompose(m).q + 1)
+        for a, j in pairs
+    )
+    return FieldSystem(m, fields)
 
 
 def system_to_json(sys: FieldSystem) -> dict:

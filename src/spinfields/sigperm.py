@@ -11,8 +11,9 @@ labels.  The column-map convention means ``apply`` scatters:
 semantics.
 
 :func:`kron` is the one place that materializes a larger matrix from smaller
-ones; the diagonal and block extensions and the conjugations are Kronecker
-products with identities and sign flips.
+ones.  The diagonal and block extensions and the conjugations are Kronecker
+products with identities and sign flips; they state the paper's lemmas in
+the tests, and no construction goes through them.
 
 :class:`DenseMatrix` is the quadratic brute-force oracle used by the tests;
 it never appears on a production path.
@@ -121,11 +122,16 @@ class SignedPerm:
     squares_to_minus_id = is_skew
 
     def anticommutes(self, other: SignedPerm) -> bool:
-        """Exact check of self*other == -(other*self)."""
-        ab = self * other
-        ba = other * self
-        return ab.image == ba.image and all(
-            x == -y for x, y in zip(ab.sign, ba.sign)
+        """Exact check of self*other == -(other*self), column by column: with
+        self e_j = s e_a and other e_j = t e_b, the two products send e_j to
+        t self.sign[b] e_(self.image[b]) and s other.sign[a] e_(other.image[a])."""
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        ai, asg = self.image, self.sign
+        bi, bsg = other.image, other.sign
+        return all(
+            ai[b] == bi[a] and asg[b] * t == -bsg[a] * s
+            for a, s, b, t in zip(ai, asg, bi, bsg)
         )
 
     def __repr__(self) -> str:
@@ -183,15 +189,15 @@ def block_ext(a: SignedPerm, n: int) -> SignedPerm:
     return kron(a, identity(n))
 
 
-#: diag(1, -1); conj_base(1) = _FLIP (x) Id_8 is the generator I_9 of spin9
-_FLIP = SignedPerm(2, (0, 1), (1, -1))
+#: diag(1, -1); conj_base(1) = FLIP (x) Id_8 is the generator I_9 of spin9
+FLIP = SignedPerm(2, (0, 1), (1, -1))
 
 
 def conj_base(s: int) -> SignedPerm:
     """The conjugation on R^(16^s) negating the second half of coordinates."""
     if s < 1:
         raise ValueError(f"conjugation order must be >= 1, got {s}")
-    return kron(_FLIP, identity(16 ** s // 2))
+    return kron(FLIP, identity(16 ** s // 2))
 
 
 def conj_level(q: int, t: int) -> SignedPerm:
@@ -242,11 +248,15 @@ class DenseMatrix:
     def __mul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        cols = tuple(zip(*other.rows))
-        return DenseMatrix(
-            tuple(sum(map(operator.mul, row, col)) for col in cols)
-            for row in self.rows
-        )
+        out = []
+        for row in self.rows:
+            acc = [0] * self.dim
+            # row combination: sum over nonzero row[k] of row[k] * other row k
+            for x, brow in zip(row, other.rows):
+                if x:
+                    acc = [c + x * y for c, y in zip(acc, brow)]
+            out.append(acc)
+        return DenseMatrix(out)
 
     def transpose(self) -> DenseMatrix:
         return DenseMatrix(zip(*self.rows))

@@ -1,20 +1,20 @@
 """The nine Clifford generators on R^16 and the complex structures they span.
 
-R^16 is treated as pairs (x, y) of octonions.  The generators are the
-symmetric involutions
+R^16 is treated as pairs (x, y) of octonions, R^2 (x) R^8.  Each generator
+is one Kronecker word in a 2x2 signed permutation and an 8-dim one:
 
-    I_1 = [[0, Id], [Id, 0]]
-    I_(1+u) = [[0, -R_u], [R_u, 0]]   for the octonion units u = i, ..., h
-    I_9 = [[Id, 0], [0, -Id]]
+    I_1 = SWAP (x) Id_8          = [[0, Id], [Id, 0]]
+    I_(1+u) = ROT (x) R_u        = [[0, -R_u], [R_u, 0]]   for u = i, ..., h
+    I_9 = FLIP (x) Id_8          = [[Id, 0], [0, -Id]]
 
 where R_u is right octonion multiplication by u.  They satisfy I^2 = Id and
 pairwise anticommute, so every composition I_a I_b (a < b) is a complex
 structure on R^16.  The eight J_a = I_a I_9 are the workhorses of the
 vector-field construction.
 
-Nothing here is hand-typed: the blocks come from the algebra module, and the
-test suite pins the resulting 16x16 matrices against transcribed golden
-copies.
+Nothing here is hand-typed: the 8-dim factors come from the algebra module,
+and the test suite pins the resulting 16x16 matrices against transcribed
+golden copies.
 """
 
 from __future__ import annotations
@@ -23,10 +23,15 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import right_mult_matrix
-from .sigperm import SignedPerm, block_ext, diag_ext
+from .sigperm import FLIP, SignedPerm, identity, kron
 
 #: dimension of the representation
 DIM = 16
+
+
+#: [[0, 1], [1, 0]] and [[0, -1], [1, 0]], the 2x2 factors of I_1 and I_(1+u)
+SWAP = SignedPerm(2, (1, 0), (1, 1))
+ROT = SignedPerm(2, (1, 0), (1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -35,15 +40,10 @@ def generator(alpha: int) -> SignedPerm:
     if not 1 <= alpha <= 9:
         raise ValueError(f"generator index must be in 1..9, got {alpha}")
     if alpha == 1:
-        swap = SignedPerm(2, (1, 0), (1, 1))
-        return block_ext(swap, 8)
+        return kron(SWAP, identity(8))
     if alpha == 9:
-        flip = SignedPerm(2, (0, 1), (1, -1))
-        return block_ext(flip, 8)
-    # [[0, -R_u], [R_u, 0]] = [[0, -Id], [Id, 0]] @ diag(R_u, R_u)
-    rot = SignedPerm(2, (1, 0), (1, -1))
-    r_u = right_mult_matrix(3, alpha - 1)
-    return block_ext(rot, 8) * diag_ext(r_u, 2)
+        return kron(FLIP, identity(8))
+    return kron(ROT, right_mult_matrix(3, alpha - 1))
 
 
 def spin9_basis() -> tuple[SignedPerm, ...]:

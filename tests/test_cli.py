@@ -71,6 +71,14 @@ class TestFields:
         assert code == 0
         assert out == "# L(i)\n0,-1\n1,0\n"
 
+    def test_dense_csv_bound(self, capsys):
+        # sigma(4098) = 1, so a missing guard costs one 4098^2 matrix
+        code, out, err = run(capsys, "fields", 4098, "--format", "dense-csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dense CSV is bounded at m = 4096")
+        assert len(err.splitlines()) == 1
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sys.json"
         code, out, _ = run(capsys, "fields", 16, "--out", target)
@@ -106,9 +114,10 @@ class TestVerify:
         assert "oracle" in out
 
     def test_oracle_bound(self, capsys):
-        code, _, err = run(capsys, "verify", 512, "--oracle")
+        code, out, err = run(capsys, "verify", 512, "--oracle")
         assert code == 2
         assert "oracle" in err
+        assert out == ""
 
     def test_removed_sampling_flags_are_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

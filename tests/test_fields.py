@@ -23,7 +23,7 @@ from spinfields.sigperm import (
     identity,
     to_dense,
 )
-from spinfields.spin9 import complex_structure
+from spinfields.spin9 import complex_structure, complex_structure_pair, generator
 from spinfields.verify import verify_system
 
 import golden
@@ -273,6 +273,27 @@ class TestPairSystem:
         for beta in range(1, 10):
             report = verify_system(pair_system(256, beta))
             assert report.passed, (beta, report.failures[:3])
+
+    def test_words_equal_diag_block_assembly(self):
+        # diag/block assembly, with j_a = +-I_min I_max signed by index order
+        for beta in range(1, 10):
+            pairs = [
+                (
+                    a,
+                    complex_structure_pair(a, beta)
+                    if a < beta
+                    else -complex_structure_pair(beta, a),
+                )
+                for a in range(1, 10)
+                if a != beta
+            ]
+            conj = diag_ext(generator(beta), 16)
+            expected = [(f"B(1,{a})", diag_ext(j, 16)) for a, j in pairs] + [
+                (f"B(2,{a})", conj * block_ext(j, 16)) for a, j in pairs
+            ]
+            sys_ = pair_system(256, beta)
+            assert [(f.label, f.matrix) for f in sys_.fields] == expected, beta
+            assert pair_system(16, beta).matrices() == [j for _, j in pairs]
 
     def test_unsupported_m(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinfields import sigperm
 from spinfields.sigperm import (
+    FLIP,
     DenseMatrix,
     SignedPerm,
     block_ext,
@@ -22,6 +23,7 @@ from spinfields.sigperm import (
     to_dense_csv,
     to_sparse_json,
 )
+from spinfields.spin9 import ROT
 
 
 @st.composite
@@ -139,6 +141,27 @@ class TestPredicates:
     def test_identity_not_skew(self):
         assert not identity(4).is_skew()
         assert not identity(4).squares_to_minus_id()
+
+    @given(signed_perms())
+    def test_rot_and_flip_words_anticommute(self, a):
+        assert kron(ROT, a).anticommutes(kron(FLIP, a))
+
+    @given(signed_perms())
+    def test_any_one_sign_flip_breaks_anticommutation(self, a):
+        # ROT (x) a moves every coordinate line, so it commutes with no
+        # single-sign flip D_j; B D_j then fails against it for every j
+        rot_a = kron(ROT, a)
+        flip_a = kron(FLIP, a)
+        for j in range(flip_a.dim):
+            sign = list(flip_a.sign)
+            sign[j] = -sign[j]
+            assert not rot_a.anticommutes(SignedPerm(flip_a.dim, flip_a.image, sign))
+
+    def test_anticommutes_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            ROT.anticommutes(identity(4))
+        with pytest.raises(ValueError):
+            identity(4).anticommutes(ROT)
 
 
 class TestDiagBlock:
@@ -354,6 +377,23 @@ class TestDenseOracleArithmetic:
         assert (a * b).rows == ((2, 1), (4, 3))
         assert a.transpose().rows == ((1, 3), (2, 4))
         assert a.apply([1, Fraction(1, 2)]) == [2, 5]
+
+    @given(st.integers(1, 7), st.booleans(), st.randoms(use_true_random=False))
+    def test_product_matches_triple_sum(self, dim, rational, rnd):
+        def entry():
+            if rnd.random() < 0.4:
+                return 0
+            if rational:
+                return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
+            return rnd.randint(-9, 9)
+
+        a = [[entry() for _ in range(dim)] for _ in range(dim)]
+        b = [[entry() for _ in range(dim)] for _ in range(dim)]
+        textbook = [
+            [sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        assert DenseMatrix(a) * DenseMatrix(b) == DenseMatrix(textbook)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
