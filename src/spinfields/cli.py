@@ -3,6 +3,10 @@
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage
 or input error.  Rationals in vector files are integer or "a/b" tokens, one
 per line; decimals and exponents are rejected to keep everything exact.
+
+``fields`` and ``apply`` stream their output, one chunk per field or frame
+row, with the bytes of the whole-object formatting (json.dumps(obj,
+indent=2) for sparse JSON) but without building the object or the text.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import algebra, fields, sigperm, verify
 
@@ -25,14 +30,75 @@ class InputError(Exception):
     """Bad user input outside argparse's reach (files, ranges)."""
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its chunks in order, to stdout or to the file out."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as e:
         raise InputError(f"cannot write output file: {e}") from e
+
+
+# Sparse JSON is written as the exact text of json.dumps(obj, indent=2) + "\n"
+# for the objects of fields.system_to_json and of the apply frame, one chunk
+# per field or frame row, from these templates.  Labels go through
+# json.dumps; coordinate texts are str() of a Fraction, which needs no escape.
+_SYSTEM = (
+    '{\n  "m": %d,\n  "sigma": %d,\n'
+    '  "decomposition": {\n    "k": %d,\n    "p": %d,\n    "q": %d\n  },\n'
+    '  "fields": '
+)
+_FIELD = (
+    '    {\n      "label": %s,\n      "matrix": {\n        "dim": %d,\n'
+    '        "cols": [\n%s\n        ]\n      }\n    }'
+)
+_COL = '          {\n            "row": %d,\n            "sign": %d\n          }'
+_FRAME = '{\n  "m": %d,\n  "frame": '
+_ROW = '    {\n      "label": %s,\n      "coords": [\n        "%s"\n      ]\n    }'
+
+
+def _json_chunks(head: str, items: Iterable[str]) -> Iterator[str]:
+    """An indent=2 object whose last key holds the list of items: head is
+    the text up to that list, each item is laid out at depth 2."""
+    yield head + "["
+    sep = "\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield ("\n  ]" if sep == ",\n" else "]") + "\n}\n"
+
+
+def _system_chunks(sys_: fields.FieldSystem) -> Iterator[str]:
+    d = fields.decompose(sys_.m)
+    head = _SYSTEM % (sys_.m, fields.sigma(sys_.m), d.k, d.p, d.q)
+    return _json_chunks(head, (
+        _FIELD % (
+            json.dumps(f.label),
+            f.matrix.dim,
+            ",\n".join(map(_COL.__mod__, zip(f.matrix.image, f.matrix.sign))),
+        )
+        for f in sys_.fields
+    ))
+
+
+def _frame_rows(
+    normal: list[Fraction], sys_: fields.FieldSystem
+) -> Iterator[tuple[str, list[str]]]:
+    """Each field's frame row at normal, as coordinate texts.  Every
+    coordinate is +normal[j] or -normal[j], so apply runs on the signed
+    positions 1..m and each position picks its text from a table of 2m + 1."""
+    m = len(normal)
+    texts = [""] * (2 * m + 1)
+    for j, x in enumerate(normal, start=1):
+        texts[j] = str(x)
+        texts[-j] = str(-x)
+    positions = range(1, m + 1)
+    for f in sys_.fields:
+        yield f.label, list(map(texts.__getitem__, f.matrix.apply(positions)))
 
 
 #: an integer or a fraction a/b; no decimals, exponents or underscores
@@ -93,16 +159,14 @@ def cmd_fields(args: argparse.Namespace) -> int:
     if args.m % 2:
         print(f"note: m = {args.m} is odd, sigma = 0; empty system", file=sys.stderr)
     if args.format == "sparse-json":
-        text = json.dumps(fields.system_to_json(sys_), indent=2) + "\n"
+        chunks = _system_chunks(sys_)
     elif args.format == "dense-csv":
-        parts = []
-        for f in sys_.fields:
-            parts.append(f"# {f.label}\n{sigperm.to_dense_csv(f.matrix)}")
-        text = "".join(parts)
+        chunks = (
+            f"# {f.label}\n{sigperm.to_dense_csv(f.matrix)}" for f in sys_.fields
+        )
     else:
-        lines = [f"{f.label}: {sigperm.display(f.matrix)}" for f in sys_.fields]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    _write_out(text, args.out)
+        chunks = (f"{f.label}: {sigperm.display(f.matrix)}\n" for f in sys_.fields)
+    _write_out(chunks, args.out)
     return 0
 
 
@@ -141,23 +205,17 @@ def cmd_multable(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     normal = read_vector_file(args.vector, args.m)
     sys_ = fields.build_system(args.m)
-    rows = [(f.label, f.matrix.apply(normal)) for f in sys_.fields]
+    rows = _frame_rows(normal, sys_)
     if args.format == "sparse-json":
-        obj = {
-            "m": args.m,
-            "frame": [
-                {"label": label, "coords": [str(c) for c in v]}
-                for label, v in rows
-            ],
-        }
-        text = json.dumps(obj, indent=2) + "\n"
+        chunks = _json_chunks(_FRAME % args.m, (
+            _ROW % (json.dumps(label), '",\n        "'.join(row))
+            for label, row in rows
+        ))
     elif args.format == "dense-csv":
-        text = "".join(",".join(str(c) for c in v) + "\n" for _, v in rows)
+        chunks = (",".join(row) + "\n" for _, row in rows)
     else:
-        text = "".join(
-            f"{label}\t{' '.join(str(c) for c in v)}\n" for label, v in rows
-        )
-    _write_out(text, args.out)
+        chunks = (f"{label}\t{' '.join(row)}\n" for label, row in rows)
+    _write_out(chunks, args.out)
     return 0
 
 

@@ -198,8 +198,18 @@ def system_to_json(sys: FieldSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> FieldSystem:
-    fields = tuple(
-        Field(f["label"], sigperm.from_sparse_json(f["matrix"]))
-        for f in obj["fields"]
-    )
-    return FieldSystem(obj["m"], fields)
+    """Inverse of system_to_json, reading m and the fields; malformed input,
+    including a field whose dim is not m, raises ValueError."""
+    m = sigperm.json_value(obj, "m", int, "system")
+    if m < 1:
+        raise ValueError(f"system: m must be positive, got {m}")
+    fields = []
+    for i, f in enumerate(sigperm.json_value(obj, "fields", list, "system")):
+        label = sigperm.json_value(f, "label", str, f"field {i}")
+        matrix = sigperm.from_sparse_json(
+            sigperm.json_value(f, "matrix", dict, f"field {i}")
+        )
+        if matrix.dim != m:
+            raise ValueError(f"field {i}: dim {matrix.dim} != m = {m}")
+        fields.append(Field(label, matrix))
+    return FieldSystem(m, tuple(fields))

@@ -307,15 +307,31 @@ def to_sparse_json(a: SignedPerm) -> dict:
     }
 
 
+def json_value(obj: object, key: str, kind: type, where: str):
+    """obj[key] of a parsed JSON object, checked to be a kind (a bool is not
+    an int); ValueError naming where otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"{where}: {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def from_sparse_json(obj: dict) -> SignedPerm:
-    dim = obj["dim"]
-    cols = obj["cols"]
+    """Inverse of to_sparse_json; malformed input raises ValueError."""
+    dim = json_value(obj, "dim", int, "matrix")
+    cols = json_value(obj, "cols", list, "matrix")
     if len(cols) != dim:
         raise ValueError(f"expected {dim} columns, got {len(cols)}")
     return SignedPerm(
         dim,
-        tuple(c["row"] for c in cols),
-        tuple(c["sign"] for c in cols),
+        tuple(json_value(c, "row", int, f"column {j}") for j, c in enumerate(cols)),
+        tuple(json_value(c, "sign", int, f"column {j}") for j, c in enumerate(cols)),
     )
 
 

@@ -1,10 +1,12 @@
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spinfields import fields
-from spinfields.cli import main
+from spinfields.cli import _write_out, main
 
 import golden
 
@@ -262,6 +264,94 @@ class TestBench:
             assert code == 2
             assert out == ""
             assert "reps must be >= 1" in err
+
+
+def reference_frame(m, normal, fmt):
+    """apply's output as formatted before it was streamed: a str per
+    Fraction coordinate, and json.dumps of the whole frame."""
+    rows = [
+        (f.label, [str(c) for c in f.matrix.apply(normal)])
+        for f in fields.build_system(m).fields
+    ]
+    if fmt == "sparse-json":
+        frame = [{"label": label, "coords": coords} for label, coords in rows]
+        return json.dumps({"m": m, "frame": frame}, indent=2) + "\n"
+    if fmt == "dense-csv":
+        return "".join(",".join(coords) + "\n" for _, coords in rows)
+    return "".join(f"{label}\t{' '.join(coords)}\n" for label, coords in rows)
+
+
+def normal(kind, m):
+    rng = random.Random(f"{kind}:{m}")
+    if kind == "integer":
+        return [Fraction(rng.randint(-10**12, 10**12)) for _ in range(m)]
+    if kind == "rational":
+        return [Fraction(rng.randint(-999, 999), rng.randint(1, 60)) for _ in range(m)]
+    # many zeros, negatives and repeated values
+    return [
+        Fraction(rng.choice([0, 0, -1, 3, -7]), rng.choice([1, 2, 9])) for _ in range(m)
+    ]
+
+
+def assert_same_text(got, expected):
+    """got == expected, reporting the first difference only: pytest's own
+    diff of a multi-megabyte string takes minutes."""
+    if got != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+            min(len(got), len(expected)),
+        )
+        lo = max(0, at - 40)
+        pytest.fail(
+            f"texts differ at offset {at} (lengths {len(got)}, {len(expected)}): "
+            f"{got[lo:at + 40]!r} != {expected[lo:at + 40]!r}"
+        )
+
+
+class TestStreamedOutput:
+    """The CLI writes sparse JSON and frames chunk by chunk; the bytes must
+    equal the whole-object formatting they replace."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 24, 96, 4096])
+    def test_fields_sparse_json_equals_json_dumps(self, capsys, tmp_path, m):
+        system = fields.build_system(m)
+        expected = json.dumps(fields.system_to_json(system), indent=2) + "\n"
+        code, out, _ = run(capsys, "fields", m, "--format", "sparse-json")
+        assert code == 0
+        assert_same_text(out, expected)
+        target = tmp_path / "sys.json"
+        code, out, _ = run(capsys, "fields", m, "--out", target)
+        assert code == 0 and out == ""
+        assert_same_text(target.read_text(encoding="utf-8"), expected)
+
+    @pytest.mark.parametrize("fmt", ["sparse-json", "dense-csv", "display"])
+    @pytest.mark.parametrize(
+        "kind, m", [("integer", 96), ("rational", 48), ("mixed", 32), ("rational", 7)]
+    )
+    def test_apply_equals_reference(self, capsys, tmp_path, fmt, kind, m):
+        coords = normal(kind, m)
+        f = tmp_path / "n.txt"
+        f.write_text("".join(f"{c}\n" for c in coords))
+        expected = reference_frame(m, coords, fmt)
+        code, out, _ = run(capsys, "apply", m, "--vector", f, "--format", fmt)
+        assert code == 0
+        assert_same_text(out, expected)
+        target = tmp_path / "frame.out"
+        code, out, _ = run(
+            capsys, "apply", m, "--vector", f, "--format", fmt, "--out", target
+        )
+        assert code == 0 and out == ""
+        assert_same_text(target.read_text(encoding="utf-8"), expected)
+
+    def test_write_out_writes_every_chunk(self, capsys, tmp_path):
+        chunks = [f"chunk {i},\n" for i in range(1000)]
+        _write_out((c for c in chunks), None)
+        assert capsys.readouterr().out == "".join(chunks)
+        target = tmp_path / "chunks.txt"
+        _write_out((c for c in chunks), str(target))
+        assert target.read_text(encoding="utf-8") == "".join(chunks)
+        _write_out("one string", str(target))
+        assert target.read_text(encoding="utf-8") == "one string"
 
 
 def test_unknown_command_usage_exit():

@@ -2,8 +2,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinfields.fields import (
+    FieldSystem,
     build_system,
     decompose,
     g_set,
@@ -418,6 +421,97 @@ class TestSerialization:
         a = json.dumps(system_to_json(build_system(96)))
         b = json.dumps(system_to_json(build_system(96)))
         assert a == b
+
+
+#: any value json.loads can return, with the keys of the sparse format likely
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(
+            ["m", "fields", "label", "matrix", "dim", "cols", "row", "sign"]
+        )
+        | st.text(max_size=3),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=12,
+)
+
+
+class TestParseErrors:
+    """system_from_json either returns a system or raises ValueError with
+    a one-line message; never KeyError, TypeError or a wrong-sized field."""
+
+    def raises(self, obj, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            system_from_json(obj)
+        assert len(str(exc.value).splitlines()) == 1
+
+    def valid(self):
+        return system_to_json(build_system(4))
+
+    def test_bool_sign_rejected(self):
+        obj = self.valid()
+        obj["fields"][0]["matrix"]["cols"][0]["sign"] = True
+        self.raises(obj, "'sign' must be int, got bool")
+
+    def test_float_row_rejected(self):
+        obj = self.valid()
+        obj["fields"][1]["matrix"]["cols"][2]["row"] = 1.0
+        self.raises(obj, "column 2: 'row' must be int, got float")
+
+    def test_missing_cols(self):
+        obj = self.valid()
+        del obj["fields"][0]["matrix"]["cols"]
+        self.raises(obj, "missing key 'cols'")
+
+    def test_field_dim_must_equal_m(self):
+        obj = self.valid()
+        other = system_to_json(build_system(2))
+        obj["fields"][2]["matrix"] = other["fields"][0]["matrix"]
+        self.raises(obj, "field 2: dim 2 != m = 4")
+
+    def test_bool_and_nonpositive_m(self):
+        for m in (True, 0, -4):
+            obj = self.valid()
+            obj["m"] = m
+            self.raises(obj, "system: ")
+
+    @given(JSON_VALUES)
+    def test_any_json_value(self, obj):
+        try:
+            system = system_from_json(obj)
+        except ValueError as e:
+            assert len(str(e).splitlines()) == 1
+            return
+        assert isinstance(system, FieldSystem)
+
+    @given(st.data())
+    def test_any_one_edit_of_a_valid_system(self, data):
+        m = data.draw(st.sampled_from([2, 4, 16]))
+        obj = system_to_json(build_system(m))
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            parent, node = node, node[key]
+        if parent is None:
+            obj = data.draw(JSON_VALUES)
+        elif isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+        try:
+            system = system_from_json(obj)
+        except ValueError as e:
+            assert len(str(e).splitlines()) == 1
+            return
+        assert all(f.matrix.dim == system.m for f in system.fields)
 
 
 class TestPinnedJson:
